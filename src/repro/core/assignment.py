@@ -155,7 +155,7 @@ class Assignment:
         """Human-readable model violations (empty when feasible)."""
         problems: list[str] = []
         resolved = vec_strategy.resolve_strategy(self._problem.n_users)
-        if resolved == vec_strategy.VECTOR and vec_strategy.numpy_enabled():
+        if resolved == vec_strategy.VECTOR:
             # Vector twin of the scalar loop below: identical messages in
             # identical (ascending-user) order.
             served_ap = np.fromiter(
@@ -235,7 +235,7 @@ def from_selected_sets(
     resolved = vec_strategy.resolve_strategy(
         problem.n_users, override=strategy
     )
-    if resolved == vec_strategy.VECTOR and vec_strategy.numpy_enabled():
+    if resolved == vec_strategy.VECTOR:
         return _from_selected_sets_vector(problem, selections)
     ap_of_user: list[int | None] = [None] * problem.n_users
     best_rate: list[float] = [-1.0] * problem.n_users

@@ -35,7 +35,6 @@ from repro.core.candidates import (
 from repro.core.errors import CoverageError
 from repro.core.mcg import greedy_mcg, greedy_mcg_flat
 from repro.core.problem import MulticastAssociationProblem
-from repro.vec import bitset
 from repro.vec import strategy as vec_strategy
 
 @dataclass(frozen=True)
@@ -134,15 +133,8 @@ def _iterated_mnu_flat(
     (ascending) — exactly the restricted sets the scalar twin extends
     ``picked`` with. ``None`` when the cap is hit (guess infeasible).
     """
-    use_numpy = vec_strategy.numpy_enabled()
-    remaining_arr: "np.ndarray | None" = None
-    remaining_bits = 0
-    if use_numpy:
-        remaining_arr = np.ones(family.n_users, dtype=bool)
-        remaining_count = family.n_users
-    else:
-        remaining_bits = bitset.full_mask(family.n_users)
-        remaining_count = family.n_users
+    remaining = np.ones(family.n_users, dtype=bool)
+    remaining_count = family.n_users
     picks: list[tuple[int, list[int]]] = []
     accumulated = [0.0] * n_aps
     iterations = 0
@@ -151,38 +143,21 @@ def _iterated_mnu_flat(
             return None
         iterations += 1
         budgets = [iterations * b_star] * n_aps
-        ground: "np.ndarray | int" = (
-            remaining_arr if remaining_arr is not None else remaining_bits
-        )
         result = greedy_mcg_flat(
             family,
             budgets,
-            ground=ground,
+            ground=remaining,
             split=True,
             initial_group_cost=accumulated,
         )
         if not result.n_covered:
             return None  # no progress is possible: some user has no set
         for k in result.chosen:
-            members = family.members_of(k)
-            if remaining_arr is not None:
-                mem = np.asarray(members, dtype=np.int64)
-                restricted = [int(u) for u in mem[remaining_arr[mem]]]
-            else:
-                restricted = [
-                    u for u in members if (remaining_bits >> u) & 1
-                ]
-            picks.append((k, restricted))
-        for k in result.chosen:
+            mem = np.asarray(family.members_of(k), dtype=np.int64)
+            picks.append((k, [int(u) for u in mem[remaining[mem]]]))
             accumulated[family.ap[k]] += family.cost[k]
-        if remaining_arr is not None:
-            assert isinstance(result.covered, np.ndarray)
-            remaining_arr &= ~result.covered
-            remaining_count = int(remaining_arr.sum())
-        else:
-            assert isinstance(result.covered, int)
-            remaining_bits &= ~result.covered
-            remaining_count = bitset.mask_count(remaining_bits)
+        remaining &= ~result.covered
+        remaining_count = int(remaining.sum())
     return picks, iterations
 
 
@@ -194,24 +169,14 @@ def _assignment_from_cover_flat(
     """First-cover-wins mapping over flat picks — the twin of
     :func:`assignment_from_cover` (per-user result is independent of
     within-set order, so both produce the same map)."""
-    if vec_strategy.numpy_enabled():
-        ap_of = np.full(problem.n_users, -1, dtype=np.int64)
-        for k, members in picks:
-            if not members:
-                continue
-            mem = np.asarray(members, dtype=np.int64)
-            unassigned = mem[ap_of[mem] < 0]
-            ap_of[unassigned] = family.ap[k]
-        return Assignment(
-            problem, [None if a < 0 else int(a) for a in ap_of]
-        )
-    ap_of_user: list[int | None] = [None] * problem.n_users
+    ap_of = np.full(problem.n_users, -1, dtype=np.int64)
     for k, members in picks:
-        ap = family.ap[k]
-        for user in members:
-            if ap_of_user[user] is None:
-                ap_of_user[user] = ap
-    return Assignment(problem, ap_of_user)
+        if not members:
+            continue
+        mem = np.asarray(members, dtype=np.int64)
+        unassigned = mem[ap_of[mem] < 0]
+        ap_of[unassigned] = family.ap[k]
+    return Assignment(problem, [None if a < 0 else int(a) for a in ap_of])
 
 
 def _lower_bound(
@@ -219,7 +184,7 @@ def _lower_bound(
 ) -> float:
     """``max_u min_a cost(a, u)`` — bit-identical in both strategies
     (pure comparisons over identically-computed quotients)."""
-    if resolved == vec_strategy.VECTOR and vec_strategy.numpy_enabled():
+    if resolved == vec_strategy.VECTOR:
         rates = problem.link_rates
         stream = np.asarray(
             [
@@ -258,8 +223,8 @@ def solve_bla(
     to absorb single-coverage users.
 
     ``strategy`` forces the scalar or vector hot-path implementation of
-    the B* probes (``None`` resolves via ``REPRO_STRATEGY`` then the auto
-    size switch); the two are bit-identical, probe for probe.
+    the B* probes (``None`` picks by instance size); the two are
+    bit-identical, probe for probe.
     """
     isolated = problem.isolated_users()
     if isolated:

@@ -121,8 +121,7 @@ class CandidateFamily:
     int64, ``'d'`` = float64) and session membership in one CSR table:
     candidate ``k`` covers ``members[offsets[k]:offsets[k+1]]``, always
     ascending. The numpy backend (:mod:`repro.vec.backend`) views the
-    same buffers zero-copy when enabled; int bitmasks
-    (:mod:`repro.vec.bitset`) serve the pure-stdlib set algebra.
+    same buffers zero-copy.
 
     A family built by :func:`build_family` enumerates candidates in
     exactly :func:`build_candidates`' order, carries bit-identical costs
@@ -139,7 +138,6 @@ class CandidateFamily:
         "cost",
         "offsets",
         "members",
-        "_masks",
         "_incidence",
     )
 
@@ -163,7 +161,6 @@ class CandidateFamily:
         self.cost = cost
         self.offsets = offsets
         self.members = members
-        self._masks: list[int] | None = None
         self._incidence: tuple[array, array] | None = None
 
     @property
@@ -179,19 +176,6 @@ class CandidateFamily:
 
     def member_count(self, k: int) -> int:
         return self.offsets[k + 1] - self.offsets[k]
-
-    def masks(self) -> list[int]:
-        """Per-candidate membership bitmasks (lazy, cached)."""
-        if self._masks is None:
-            masks: list[int] = []
-            offsets, members = self.offsets, self.members
-            for k in range(len(self.ap)):
-                mask = 0
-                for i in range(offsets[k], offsets[k + 1]):
-                    mask |= 1 << members[i]
-                masks.append(mask)
-            self._masks = masks
-        return self._masks
 
     def incidence(self) -> tuple[array, array]:
         """The inverted CSR: user ``u`` is covered by candidates
@@ -367,17 +351,15 @@ def build_family(
     """Array-backed candidate construction with the dual-strategy switch.
 
     The scalar strategy flattens :func:`build_candidates`' output; the
-    vector strategy builds the same arrays blockwise on the numpy backend
-    (falling back to the scalar path when ``REPRO_VEC_NUMPY=0``). Both
-    yield identical families — candidates in the same order with the same
-    float rates/costs and the same ascending member lists.
+    vector strategy builds the same arrays blockwise on the numpy backend.
+    Both yield identical families — candidates in the same order with the
+    same float rates/costs and the same ascending member lists.
+    ``strategy`` overrides the auto switch on ``n_users * n_aps``.
     """
     resolved = vec_strategy.resolve_strategy(
-        problem.n_users * max(problem.n_aps, 1),
-        override=strategy,
-        threshold=vec_strategy.VECTOR_SIZE_THRESHOLD,
+        problem.n_users * max(problem.n_aps, 1), override=strategy
     )
-    if resolved == vec_strategy.VECTOR and vec_strategy.numpy_enabled():
+    if resolved == vec_strategy.VECTOR:
         if instrument.enabled():
             instrument.incr("candidates.strategy_switches")
         return _build_family_numpy(problem, prune=prune, rate_grid=rate_grid)

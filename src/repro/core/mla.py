@@ -44,8 +44,7 @@ def solve_mla(
     """Run Centralized MLA; raises :class:`CoverageError` for isolated users.
 
     ``strategy`` forces the scalar or vector hot-path implementation
-    (``None`` resolves via ``REPRO_STRATEGY`` then the auto size switch);
-    both are bit-identical.
+    (``None`` picks by instance size); both are bit-identical.
     """
     isolated = problem.isolated_users()
     if isolated:

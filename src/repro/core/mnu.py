@@ -91,8 +91,8 @@ def solve_mnu(
         greedily re-add users dropped by the split when they still fit.
     strategy:
         ``"scalar"`` / ``"vector"`` forces the hot-path implementation;
-        ``None`` resolves via ``REPRO_STRATEGY`` then the auto size
-        switch. Both strategies are bit-identical.
+        ``None`` picks by instance size. Both strategies are
+        bit-identical.
     """
     resolved = vec_strategy.resolve_strategy(
         problem.n_users * max(problem.n_aps, 1), override=strategy

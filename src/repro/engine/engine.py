@@ -315,6 +315,12 @@ class ShardedEngine:
         metrics.incr("engine.solves")
 
         assignment, n_resolved, extras = solution
+        if metrics.enabled():
+            # The per-shard solvers each wrote these gauges for their own
+            # sub-instance; overwrite them with the stitched solution's.
+            metrics.gauge(f"{objective}.n_served", float(assignment.n_served))
+            metrics.gauge(f"{objective}.total_load", assignment.total_load())
+            metrics.gauge(f"{objective}.max_load", assignment.max_load())
         return EngineSolution(
             objective=objective,
             assignment=assignment,

@@ -53,7 +53,7 @@ class ShardProblem:
                 f"shard has {len(self.users)} users, map covers {len(local_map)}"
             )
         resolved = vec_strategy.resolve_strategy(len(self.users))
-        if resolved == vec_strategy.VECTOR and vec_strategy.numpy_enabled():
+        if resolved == vec_strategy.VECTOR:
             local = np.fromiter(
                 (-1 if ap is None else ap for ap in local_map),
                 dtype=np.int64,
@@ -162,7 +162,7 @@ def stitch_assignment(
     resolved = vec_strategy.resolve_strategy(
         problem.n_users, override=strategy
     )
-    if resolved == vec_strategy.VECTOR and vec_strategy.numpy_enabled():
+    if resolved == vec_strategy.VECTOR:
         return _stitch_assignment_vector(problem, pairs)
     ap_of_user: list[int | None] = [None] * problem.n_users
     for user, ap in pairs:

@@ -1,14 +1,11 @@
-"""The optional numpy backend for the vector strategies.
+"""The numpy kernels behind the vector strategies.
 
 This is the *only* module in :mod:`repro.vec` that imports numpy; the
 RPL002 layering table names ``vec`` a leaf and polices which layers may
 import it, so every numpy-accelerated hot path is reachable from one
-greppable choke point. The backend is behind a runtime flag
-(:func:`repro.vec.strategy.numpy_enabled`, env ``REPRO_VEC_NUMPY``):
-with the flag off, the vector strategies fall back to the pure stdlib
-``array``/bitmask code paths and must produce bit-identical results —
-every kernel here is exact (integer arithmetic, comparisons and
-first-max scans only; no float accumulation).
+greppable choke point. Every kernel here is exact (integer arithmetic,
+comparisons and first-max scans only; no float accumulation), which is
+what lets the vector strategies stay bit-identical to their scalar twins.
 """
 
 from __future__ import annotations
@@ -79,25 +76,6 @@ def gather_segments(
     ends_before = np.repeat(np.cumsum(counts) - counts, counts)
     positions = starts + (np.arange(total, dtype=np.int64) - ends_before)
     return data[positions]
-
-
-def mask_to_bits(mask: np.ndarray) -> int:
-    """A bool mask as the equivalent int bitmask (bit ``i`` = ``mask[i]``)."""
-    if mask.size == 0:
-        return 0
-    packed = np.packbits(mask, bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
-def bits_to_mask(bits: int, n: int) -> np.ndarray:
-    """An int bitmask as a bool mask of length ``n``."""
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    raw = bits.to_bytes((n + 7) // 8, "little")
-    unpacked = np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8), bitorder="little"
-    )
-    return unpacked[:n].astype(bool)
 
 
 def invert_csr(

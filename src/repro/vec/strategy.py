@@ -1,76 +1,44 @@
 """The scalar/vector strategy switch shared by every dual-path call site.
 
-PR 4 introduced the pattern inside :class:`repro.core.ledger.CandidateGainIndex`:
-one scalar implementation, one vectorized implementation, an auto-switch
-by instance size, and a hard bit-identity contract between the two. This
-module centralizes the switch so the other hot paths (candidate
-construction, the MCG greedy, set cover, B*-search re-solves, shard
-stitching) all resolve their strategy the same way:
+The pattern started inside :class:`repro.core.ledger.CandidateGainIndex`:
+one scalar implementation, one vectorized (numpy) implementation, an
+auto-switch by instance size, and a hard bit-identity contract between
+the two. This module centralizes the switch so the other hot paths
+(candidate construction, the MCG greedy, set cover, B*-search re-solves,
+shard stitching) all resolve their strategy the same way: an explicit
+``strategy=`` argument at the call site wins; otherwise the instance
+size picks, against :data:`VECTOR_SIZE_THRESHOLD`.
 
-* ``REPRO_STRATEGY`` — ``"scalar"`` | ``"vector"`` | ``"auto"`` (default)
-  forces or frees the choice process-wide; an explicit ``strategy=``
-  argument at a call site wins over the environment.
-* ``REPRO_VEC_NUMPY`` — ``"0"`` disables the numpy backend
-  (:mod:`repro.vec.backend`); the vector strategy then runs on its pure
-  stdlib ``array``/bitmask fallback. Any other value (or unset) leaves
-  numpy acceleration on.
-
-Both variables are read at *call* time, not import time, so tests can
-flip them with ``monkeypatch.setenv`` and exercise every combination.
+The threshold is read at *call* time, so a test can force every nested
+dispatch site one way by patching it to ``0`` (always vector) or
+``sys.maxsize`` (always scalar).
 """
 
 from __future__ import annotations
 
-import os
-
 SCALAR = "scalar"
 VECTOR = "vector"
-AUTO = "auto"
 
-_STRATEGY_ENV = "REPRO_STRATEGY"
-_NUMPY_ENV = "REPRO_VEC_NUMPY"
-
-#: Auto-switch threshold, in call-site "work units" (candidate count for
-#: the greedy loops, ``n_users`` for construction and stitching). Below
-#: it the scalar twin is faster — python loop overhead beats array
-#: set-up on tiny instances — and above it the flat strategy wins by
-#: orders of magnitude. Same order of magnitude as the ledger's
-#: ``_VECTORIZE_THRESHOLD``; documented in docs/architecture.md.
+#: Auto-switch threshold, in call-site "work units" (``n_users * n_aps``
+#: for the solvers and candidate construction, ``n_users`` for
+#: materialization and stitching). Below it the scalar twin is faster —
+#: python loop overhead beats array set-up on tiny instances — and above
+#: it the numpy strategy wins by orders of magnitude. Same order of
+#: magnitude as the ledger's ``_VECTORIZE_THRESHOLD``; documented in
+#: docs/architecture.md.
 VECTOR_SIZE_THRESHOLD = 2048
 
 
-def configured_strategy() -> str:
-    """The process-wide strategy from ``REPRO_STRATEGY`` (default auto)."""
-    value = os.environ.get(_STRATEGY_ENV, AUTO).strip().lower()
-    if value in (SCALAR, VECTOR, AUTO):
-        return value
-    raise ValueError(
-        f"{_STRATEGY_ENV} must be 'scalar', 'vector' or 'auto', got {value!r}"
-    )
-
-
-def resolve_strategy(
-    size: int,
-    *,
-    override: str | None = None,
-    threshold: int = VECTOR_SIZE_THRESHOLD,
-) -> str:
+def resolve_strategy(size: int, override: str | None = None) -> str:
     """Pick ``SCALAR`` or ``VECTOR`` for an instance of ``size`` work units.
 
-    Precedence: explicit ``override`` argument, then ``REPRO_STRATEGY``,
-    then the size-based auto switch. Returns one of :data:`SCALAR` /
-    :data:`VECTOR`, never ``"auto"``.
+    A given ``override`` wins (and must be one of the two); otherwise
+    vector once ``size`` reaches :data:`VECTOR_SIZE_THRESHOLD`.
     """
-    choice = override if override is not None else configured_strategy()
-    if choice == AUTO:
-        return VECTOR if size >= threshold else SCALAR
-    if choice in (SCALAR, VECTOR):
-        return choice
+    if override is None:
+        return VECTOR if size >= VECTOR_SIZE_THRESHOLD else SCALAR
+    if override in (SCALAR, VECTOR):
+        return override
     raise ValueError(
-        f"strategy must be 'scalar', 'vector' or 'auto', got {choice!r}"
+        f"strategy must be 'scalar' or 'vector', got {override!r}"
     )
-
-
-def numpy_enabled() -> bool:
-    """Whether the numpy backend is enabled (``REPRO_VEC_NUMPY`` != 0)."""
-    return os.environ.get(_NUMPY_ENV, "1").strip() != "0"

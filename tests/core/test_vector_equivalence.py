@@ -6,16 +6,12 @@ array-backed twin, and the two must be *indistinguishable* — same
 user→AP maps, same ``float.hex`` loads, same selection orders, same
 instrumentation counters (the ``*.strategy_switches`` dispatch markers
 aside), same error messages. Hypothesis drives ≥200 random instances
-through each path, and every comparison runs under both
-``REPRO_VEC_NUMPY`` settings so the pure-stdlib fallback is held to the
-same standard as the numpy backend.
+through each path.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -37,20 +33,6 @@ RATES = (6.0, 12.0, 18.0, 24.0, 36.0, 48.0, 54.0)
 BUDGETS = (math.inf, 1.5, 0.9, 0.5)
 
 N_EXAMPLES = 200
-
-
-@contextmanager
-def numpy_backend(enabled: bool):
-    """Force ``REPRO_VEC_NUMPY`` for the duration of the block."""
-    previous = os.environ.get("REPRO_VEC_NUMPY")
-    os.environ["REPRO_VEC_NUMPY"] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ["REPRO_VEC_NUMPY"]
-        else:
-            os.environ["REPRO_VEC_NUMPY"] = previous
 
 
 def run_with_counters(fn):
@@ -101,20 +83,16 @@ def assert_same_assignment(scalar, vector):
 @settings(max_examples=N_EXAMPLES, deadline=None)
 @given(problems())
 def test_build_family_identical(problem):
-    for use_numpy in (True, False):
-        with numpy_backend(use_numpy):
-            scalar = build_family(problem, strategy="scalar")
-            vector = build_family(problem, strategy="vector")
-        assert list(scalar.ap) == list(vector.ap)
-        assert list(scalar.session) == list(vector.session)
-        assert [x.hex() for x in scalar.tx_rate] == [
-            x.hex() for x in vector.tx_rate
-        ]
-        assert [x.hex() for x in scalar.cost] == [
-            x.hex() for x in vector.cost
-        ]
-        assert list(scalar.offsets) == list(vector.offsets)
-        assert list(scalar.members) == list(vector.members)
+    scalar = build_family(problem, strategy="scalar")
+    vector = build_family(problem, strategy="vector")
+    assert list(scalar.ap) == list(vector.ap)
+    assert list(scalar.session) == list(vector.session)
+    assert [x.hex() for x in scalar.tx_rate] == [
+        x.hex() for x in vector.tx_rate
+    ]
+    assert [x.hex() for x in scalar.cost] == [x.hex() for x in vector.cost]
+    assert list(scalar.offsets) == list(vector.offsets)
+    assert list(scalar.members) == list(vector.members)
 
 
 # -- MCG greedy coverage ------------------------------------------------------
@@ -129,19 +107,17 @@ def test_mcg_flat_matches_scalar(problem, split):
     scalar, scalar_counters = run_with_counters(
         lambda: greedy_mcg(candidates, budgets, ground, split=split)
     )
-    for use_numpy in (True, False):
-        with numpy_backend(use_numpy):
-            family = build_family(problem, strategy="scalar")
-            flat, flat_counters = run_with_counters(
-                lambda: greedy_mcg_flat(family, budgets, split=split)
-            )
-            vector = flat.to_mcg_result(family)
-        assert vector.selected == scalar.selected
-        assert vector.within_budget == scalar.within_budget
-        assert vector.overshooting == scalar.overshooting
-        assert vector.chosen == scalar.chosen
-        assert vector.covered == scalar.covered
-        assert flat_counters == scalar_counters
+    family = build_family(problem, strategy="scalar")
+    flat, flat_counters = run_with_counters(
+        lambda: greedy_mcg_flat(family, budgets, split=split)
+    )
+    vector = flat.to_mcg_result(family)
+    assert vector.selected == scalar.selected
+    assert vector.within_budget == scalar.within_budget
+    assert vector.overshooting == scalar.overshooting
+    assert vector.chosen == scalar.chosen
+    assert vector.covered == scalar.covered
+    assert flat_counters == scalar_counters
 
 
 # -- set cover ----------------------------------------------------------------
@@ -155,15 +131,13 @@ def test_setcover_flat_matches_scalar(problem):
     scalar, scalar_counters = run_with_counters(
         lambda: greedy_set_cover(candidates, ground)
     )
-    for use_numpy in (True, False):
-        with numpy_backend(use_numpy):
-            family = build_family(problem, strategy="scalar")
-            (chosen, total_cost), flat_counters = run_with_counters(
-                lambda: greedy_set_cover_flat(family)
-            )
-        assert [family.candidate(k) for k in chosen] == list(scalar.selected)
-        assert total_cost.hex() == scalar.total_cost.hex()
-        assert flat_counters == scalar_counters
+    family = build_family(problem, strategy="scalar")
+    (chosen, total_cost), flat_counters = run_with_counters(
+        lambda: greedy_set_cover_flat(family)
+    )
+    assert [family.candidate(k) for k in chosen] == list(scalar.selected)
+    assert total_cost.hex() == scalar.total_cost.hex()
+    assert flat_counters == scalar_counters
 
 
 @settings(max_examples=N_EXAMPLES, deadline=None)
@@ -187,12 +161,10 @@ def test_setcover_coverage_error_parity(problem, isolated):
     ground = set(range(broken.n_users))
     with pytest.raises(CoverageError) as scalar_error:
         greedy_set_cover(build_candidates(broken), ground)
-    for use_numpy in (True, False):
-        with numpy_backend(use_numpy):
-            family = build_family(broken, strategy="scalar")
-            with pytest.raises(CoverageError) as flat_error:
-                greedy_set_cover_flat(family)
-        assert str(flat_error.value) == str(scalar_error.value)
+    family = build_family(broken, strategy="scalar")
+    with pytest.raises(CoverageError) as flat_error:
+        greedy_set_cover_flat(family)
+    assert str(flat_error.value) == str(scalar_error.value)
 
 
 # -- the solvers end to end ---------------------------------------------------
@@ -206,13 +178,11 @@ def test_solve_mnu_equivalence(problem, augment):
     scalar, scalar_counters = run_with_counters(
         lambda: solve_mnu(problem, augment=augment, strategy="scalar")
     )
-    for use_numpy in (True, False):
-        with numpy_backend(use_numpy):
-            vector, vector_counters = run_with_counters(
-                lambda: solve_mnu(problem, augment=augment, strategy="vector")
-            )
-        assert_same_assignment(scalar.assignment, vector.assignment)
-        assert vector_counters == scalar_counters
+    vector, vector_counters = run_with_counters(
+        lambda: solve_mnu(problem, augment=augment, strategy="vector")
+    )
+    assert_same_assignment(scalar.assignment, vector.assignment)
+    assert vector_counters == scalar_counters
 
 
 @settings(max_examples=N_EXAMPLES, deadline=None)
@@ -221,13 +191,11 @@ def test_solve_mla_equivalence(problem):
     scalar, scalar_counters = run_with_counters(
         lambda: solve_mla(problem, strategy="scalar")
     )
-    for use_numpy in (True, False):
-        with numpy_backend(use_numpy):
-            vector, vector_counters = run_with_counters(
-                lambda: solve_mla(problem, strategy="vector")
-            )
-        assert_same_assignment(scalar.assignment, vector.assignment)
-        assert vector_counters == scalar_counters
+    vector, vector_counters = run_with_counters(
+        lambda: solve_mla(problem, strategy="vector")
+    )
+    assert_same_assignment(scalar.assignment, vector.assignment)
+    assert vector_counters == scalar_counters
 
 
 @settings(max_examples=N_EXAMPLES, deadline=None)
@@ -238,15 +206,11 @@ def test_solve_bla_equivalence(problem, local_search):
             problem, local_search=local_search, strategy="scalar"
         )
     )
-    for use_numpy in (True, False):
-        with numpy_backend(use_numpy):
-            vector, vector_counters = run_with_counters(
-                lambda: solve_bla(
-                    problem, local_search=local_search, strategy="vector"
-                )
-            )
-        assert_same_assignment(scalar.assignment, vector.assignment)
-        assert vector_counters == scalar_counters
+    vector, vector_counters = run_with_counters(
+        lambda: solve_bla(problem, local_search=local_search, strategy="vector")
+    )
+    assert_same_assignment(scalar.assignment, vector.assignment)
+    assert vector_counters == scalar_counters
 
 
 # -- assignment materialization and stitching ---------------------------------
@@ -260,12 +224,8 @@ def test_from_selected_sets_equivalence(problem):
         for c in build_candidates(problem)
     ]
     scalar = from_selected_sets(problem, selections, strategy="scalar")
-    for use_numpy in (True, False):
-        with numpy_backend(use_numpy):
-            vector = from_selected_sets(
-                problem, selections, strategy="vector"
-            )
-        assert_same_assignment(scalar, vector)
+    vector = from_selected_sets(problem, selections, strategy="vector")
+    assert_same_assignment(scalar, vector)
 
 
 @settings(max_examples=N_EXAMPLES, deadline=None)
@@ -279,10 +239,8 @@ def test_stitch_equivalence(problem, rng):
     ]
     rng.shuffle(pairs)
     scalar = stitch_assignment(problem, pairs, strategy="scalar")
-    for use_numpy in (True, False):
-        with numpy_backend(use_numpy):
-            vector = stitch_assignment(problem, pairs, strategy="vector")
-        assert_same_assignment(scalar, vector)
+    vector = stitch_assignment(problem, pairs, strategy="vector")
+    assert_same_assignment(scalar, vector)
 
     if not pairs or problem.n_aps < 2:
         return
@@ -291,8 +249,6 @@ def test_stitch_equivalence(problem, rng):
     conflicting = pairs + [(user, (ap + 1) % problem.n_aps)]
     with pytest.raises(ModelError) as scalar_error:
         stitch_assignment(problem, conflicting, strategy="scalar")
-    for use_numpy in (True, False):
-        with numpy_backend(use_numpy):
-            with pytest.raises(ModelError) as vector_error:
-                stitch_assignment(problem, conflicting, strategy="vector")
-        assert str(vector_error.value) == str(scalar_error.value)
+    with pytest.raises(ModelError) as vector_error:
+        stitch_assignment(problem, conflicting, strategy="vector")
+    assert str(vector_error.value) == str(scalar_error.value)

@@ -1,7 +1,7 @@
 """Fixture: a vec kernel importing only within its own leaf layer."""
 
-from repro.vec import bitset
+from repro.vec import strategy
 
 
-def popcount(mask):
-    return bitset.mask_count(mask)
+def pick(size):
+    return strategy.resolve_strategy(size)

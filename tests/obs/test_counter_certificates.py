@@ -7,6 +7,10 @@ instrumented solvers must equal the loads
 :func:`repro.verify.certificates.verify_assignment` re-derives from raw
 problem data. A drift here means the observability layer is reporting a
 different solution than the one actually produced.
+
+The same holds for every centralized (``c-*``) and sharded-engine
+(``e-*``) cell of the quick bench: an engine solve must report the
+stitched solution, not whichever shard happened to be solved last.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from repro import obs
 from repro.core.bla import solve_bla
 from repro.core.mla import solve_mla
 from repro.core.mnu import solve_mnu
+from repro.eval.metrics import ALGORITHMS, split_policy_suffix
+from repro.obs.bench import QUICK_ALGORITHMS, bench_scenarios
 from repro.verify.certificates import verify_assignment
 from repro.verify.fuzz import CORPUS_KIND, load_corpus_entry
 
@@ -60,6 +66,22 @@ def random_problems(n: int = 4):
     ]
 
 
+def assert_gauges_match_certificate(prefix, problem, assignment, gauges):
+    certificate = verify_assignment(
+        problem, assignment, prefix, lp_bounds=False
+    )
+    assert certificate.ok, [str(v) for v in certificate.violations]
+    assert gauges[f"{prefix}.total_load"] == pytest.approx(
+        certificate.stats["total_load"], abs=1e-12
+    )
+    assert gauges[f"{prefix}.max_load"] == pytest.approx(
+        certificate.stats["max_load"], abs=1e-12
+    )
+    assert gauges[f"{prefix}.n_served"] == pytest.approx(
+        certificate.stats["n_served"], abs=0
+    )
+
+
 @pytest.mark.parametrize(
     "label,problem",
     corpus_problems() + random_problems(),
@@ -70,17 +92,31 @@ def test_load_gauges_match_certificate(solver_name, label, problem):
     prefix, solve = SOLVERS[solver_name]
     with obs.collecting() as session:
         assignment = solve(problem)
-    certificate = verify_assignment(
-        problem, assignment, prefix, lp_bounds=False
+    assert_gauges_match_certificate(
+        prefix, problem, assignment, session.metrics.gauges()
     )
-    assert certificate.ok, [str(v) for v in certificate.violations]
-    gauges = session.metrics.gauges()
-    assert gauges[f"{prefix}.total_load"] == pytest.approx(
-        certificate.stats["total_load"], abs=1e-12
-    )
-    assert gauges[f"{prefix}.max_load"] == pytest.approx(
-        certificate.stats["max_load"], abs=1e-12
-    )
-    assert gauges[f"{prefix}.n_served"] == pytest.approx(
-        certificate.stats["n_served"], abs=0
+
+
+BENCH_CELLS = [
+    name for name in QUICK_ALGORITHMS if name.startswith(("c-", "e-"))
+]
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        pytest.param(scenario, id=name)
+        for name, scenario in bench_scenarios(quick=True, seed=0)
+    ],
+)
+@pytest.mark.parametrize("algorithm", BENCH_CELLS)
+def test_bench_cell_gauges_match_certificate(algorithm, scenario):
+    base, policy = split_policy_suffix(algorithm)
+    problem = scenario.problem()
+    if policy is not None:
+        problem = problem.with_policies(policy)
+    with obs.collecting() as session:
+        assignment = ALGORITHMS[base](problem, random.Random(0))
+    assert_gauges_match_certificate(
+        base.split("-")[1], problem, assignment, session.metrics.gauges()
     )

@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro.vec.strategy
 from repro.core.bla import solve_bla
 from repro.core.mla import solve_mla
 from repro.core.mnu import solve_mnu
@@ -131,10 +133,13 @@ def test_corpus_expectations_byte_identical(
 
     The expectations were recorded once (scalar path); the dual-strategy
     contract says the array-backed twins must reproduce them bit for bit
-    too — so the same byte-exact assertions run with ``REPRO_STRATEGY``
-    forced each way.
+    too — so the same byte-exact assertions run with the size threshold
+    patched to force every dispatch site each way.
     """
-    monkeypatch.setenv("REPRO_STRATEGY", strategy)
+    threshold = 0 if strategy == "vector" else sys.maxsize
+    monkeypatch.setattr(
+        repro.vec.strategy, "VECTOR_SIZE_THRESHOLD", threshold
+    )
     entry, scenario = load_corpus_entry(str(path))
     expected = entry["expectations"][solver_name]
     problem = scenario.problem()
