@@ -151,6 +151,8 @@ class MulticastAssociationProblem:
         for u, s in enumerate(self._user_sessions):
             by_session[s].append(u)
         self._users_of_session = tuple(tuple(us) for us in by_session)
+        # user -> ascending neighboring APs, built by the first aps_of_user
+        self._aps_by_user: list[list[int]] | None = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -241,16 +243,25 @@ class MulticastAssociationProblem:
         return self._rates[ap, user] > 0
 
     def aps_of_user(self, user: int) -> list[int]:
-        """APs whose range covers ``user`` — its *neighboring APs*."""
-        return [a for a in range(self.n_aps) if self._rates[a, user] > 0]
+        """APs whose range covers ``user`` — its *neighboring APs*.
+
+        Read from a per-user adjacency built on the first call; the rates
+        are read-only, so it cannot go stale. Returns a fresh list.
+        """
+        if self._aps_by_user is None:
+            users, aps = np.nonzero((self._rates > 0).T)
+            flat = aps.tolist()
+            ends = np.cumsum(np.bincount(users, minlength=self.n_users)).tolist()
+            self._aps_by_user = [flat[s:e] for s, e in zip([0, *ends], ends)]
+        return list(self._aps_by_user[user])
 
     def users_of_ap(self, ap: int) -> list[int]:
         """Users within range of ``ap``."""
-        return [u for u in range(self.n_users) if self._rates[ap, u] > 0]
+        return np.flatnonzero(self._rates[ap] > 0).tolist()
 
     def isolated_users(self) -> list[int]:
         """Users out of range of every AP — never servable."""
-        return [u for u in range(self.n_users) if not np.any(self._rates[:, u] > 0)]
+        return np.flatnonzero(~(self._rates > 0).any(axis=0)).tolist()
 
     def coverage_feasible(self) -> bool:
         """True when every user can hear at least one AP."""

@@ -26,7 +26,6 @@ from repro.engine.incremental import CacheStats, ShardCache, shard_fingerprint
 from repro.engine.partition import (
     Component,
     ShardPlan,
-    UnionFind,
     coverage_components,
     plan_shards,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "ShardProblem",
     "ShardedBlaResult",
     "ShardedEngine",
-    "UnionFind",
     "build_shards",
     "coverage_components",
     "plan_shards",

@@ -146,14 +146,15 @@ class ShardedEngine:
         The long-running service mutates the *parameters* of a
         deployment — users switching sessions, sessions changing rate —
         while the radio geometry (AP/user counts, link rates) stays
-        put. This re-plans and re-slices shards for the new problem but
-        keeps the fingerprint cache and the tracked membership: entries
-        are content-addressed (:func:`shard_fingerprint` hashes the
-        rate sub-matrix, budgets, user sessions and the session
-        catalog), so shards the change did not touch keep hitting while
-        stale entries miss and are evicted on contact. A changed rate
-        matrix would change the coverage partition itself, so that is
-        rejected.
+        put. The shard plan depends on the link rates alone, so a swap
+        keeps it and only re-slices the shards from the new problem; it
+        never re-partitions. The fingerprint cache and the tracked
+        membership survive too: entries are content-addressed
+        (:func:`shard_fingerprint` hashes the rate sub-matrix, budgets,
+        user sessions and the session catalog), so shards the change did
+        not touch keep hitting while stale entries miss and are evicted
+        on contact. A changed rate matrix would change the coverage
+        partition itself, so that is rejected.
         """
         if problem.n_aps != self.problem.n_aps or (
             problem.n_users != self.problem.n_users
@@ -169,12 +170,7 @@ class ShardedEngine:
                 "partition depends on them); build a new engine instead"
             )
         self.problem = problem
-        self.plan = plan_shards(
-            problem, max_shard_users=self._max_shard_users
-        )
         self.shards = build_shards(problem, self.plan)
-        self._shard_of_user = self.plan.shard_of_user()
-        self._shard_of_ap = self.plan.shard_of_ap()
         metrics.incr("engine.problem_swaps")
 
     def shard_of_user(self, user: int) -> int | None:

@@ -280,7 +280,8 @@ class ShardedBlaResult:
 def _check_coverable(
     problem: MulticastAssociationProblem, active: Sequence[int]
 ) -> None:
-    isolated = [u for u in active if not problem.aps_of_user(u)]
+    uncovered = set(problem.isolated_users())
+    isolated = [u for u in active if u in uncovered]
     if isolated:
         raise CoverageError(isolated)
 

@@ -11,7 +11,11 @@ the component-wise runs reproduce the monolithic runs *exactly* (see
 ``repro.engine.executor`` for where the two genuinely global decisions, the
 H1/H2 split and the B* search, are re-applied across shards).
 
-Components are extracted with a union–find over ``n_aps + n_users`` nodes.
+Components are labelled by ``scipy.sparse.csgraph.connected_components``
+over the ``n_aps + n_users`` nodes of the candidate graph, in array
+operations on ``link_rates > 0``. Link rates never change for a problem
+the engine keeps (``ShardedEngine.swap_problem`` rejects new ones), so the
+engine plans once, at construction, and only re-slices shards on a swap.
 Tiny components (common in sparse or federated deployments) can optionally
 be merged into balanced shards under a user-count cap — merging is still
 lossless, since a shard containing several components just runs their
@@ -23,37 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from repro.core.problem import MulticastAssociationProblem
-
-
-class UnionFind:
-    """Array-based disjoint sets with union by rank and path halving."""
-
-    def __init__(self, n: int) -> None:
-        if n < 0:
-            raise ValueError("need a non-negative number of nodes")
-        self._parent = list(range(n))
-        self._rank = [0] * n
-
-    def find(self, x: int) -> int:
-        parent = self._parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]  # path halving
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the sets of ``a`` and ``b``; True if they were distinct."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self._rank[ra] < self._rank[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        if self._rank[ra] == self._rank[rb]:
-            self._rank[ra] += 1
-        return True
 
 
 @dataclass(frozen=True)
@@ -118,27 +95,35 @@ def coverage_components(
     ascending, so downstream index remaps preserve the monolithic orderings
     the solvers' tie-breaks depend on.
     """
-    n_aps, n_users = problem.n_aps, problem.n_users
-    finder = UnionFind(n_aps + n_users)
-    edges = np.argwhere(problem.link_rates > 0)
-    for ap, user in edges:
-        finder.union(int(ap), n_aps + int(user))
+    cover = problem.link_rates > 0
+    n_aps = problem.n_aps
+    # Bipartite graph on n_aps + n_users nodes: AP a is node a, user u is
+    # node n_aps + u. A symmetric adjacency needs only the AP->user edges.
+    ap_idx, user_idx = np.nonzero(cover)
+    n_nodes = n_aps + problem.n_users
+    graph = coo_matrix(
+        (np.ones(len(ap_idx), dtype=np.int8), (ap_idx, n_aps + user_idx)),
+        shape=(n_nodes, n_nodes),
+    )
+    labels = connected_components(graph, directed=False)[1].tolist()
 
+    ap_has_edge = cover.any(axis=1)
+    user_has_edge = cover.any(axis=0)
     members: dict[int, tuple[list[int], list[int]]] = {}
-    has_edge_ap = set(int(a) for a in edges[:, 0]) if len(edges) else set()
-    has_edge_user = set(int(u) for u in edges[:, 1]) if len(edges) else set()
-    isolated_users = [u for u in range(n_users) if u not in has_edge_user]
-    idle_aps = [a for a in range(n_aps) if a not in has_edge_ap]
-    for ap in has_edge_ap:
-        members.setdefault(finder.find(ap), ([], []))[0].append(ap)
-    for user in has_edge_user:
-        members.setdefault(finder.find(n_aps + user), ([], []))[1].append(user)
+    for ap in np.flatnonzero(ap_has_edge).tolist():
+        members.setdefault(labels[ap], ([], []))[0].append(ap)
+    for user in np.flatnonzero(user_has_edge).tolist():
+        members[labels[n_aps + user]][1].append(user)
 
+    # Members are collected in ascending index order, and a component is
+    # first seen at its smallest AP (every covered user's component holds
+    # one), so the dict is already ordered by smallest AP.
     components = [
-        Component(aps=tuple(sorted(aps)), users=tuple(sorted(users)))
+        Component(aps=tuple(aps), users=tuple(users))
         for aps, users in members.values()
     ]
-    components.sort(key=lambda c: c.aps[0])
+    isolated_users = np.flatnonzero(~user_has_edge).tolist()
+    idle_aps = np.flatnonzero(~ap_has_edge).tolist()
     return components, isolated_users, idle_aps
 
 

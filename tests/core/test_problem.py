@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import ModelError
 from repro.core.problem import (
@@ -120,6 +122,41 @@ class TestAccessors:
 
     def test_coverage_feasible(self):
         assert paper_example_problem(1.0).coverage_feasible()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        links=st.integers(1, 6).flatmap(
+            lambda n_aps: st.lists(
+                st.lists(
+                    st.sampled_from((0.0, 0.0, 6.0, 54.0)),
+                    min_size=n_aps,
+                    max_size=n_aps,
+                ),
+                min_size=1,
+                max_size=12,
+            )
+        )
+    )
+    def test_adjacency_matches_element_scans(self, links):
+        rates = np.array(links).T  # built per user, stored per AP
+        n_aps, n_users = rates.shape
+        p = MulticastAssociationProblem(
+            rates, [0] * n_users, [Session(0, 1.0)]
+        )
+        for u in range(n_users):
+            assert p.aps_of_user(u) == [
+                a for a in range(n_aps) if rates[a, u] > 0
+            ]
+        for a in range(n_aps):
+            assert p.users_of_ap(a) == [
+                u for u in range(n_users) if rates[a, u] > 0
+            ]
+        assert p.isolated_users() == [
+            u for u in range(n_users) if not np.any(rates[:, u] > 0)
+        ]
+        # Each call hands out a fresh list; the cached adjacency is safe.
+        p.aps_of_user(0).append(n_aps)
+        assert p.aps_of_user(0) == [a for a in range(n_aps) if rates[a, 0] > 0]
 
 
 class TestLoadArithmetic:

@@ -1,14 +1,18 @@
-"""Tests for coverage-graph partitioning (union-find, components, packing)."""
+"""Tests for coverage-graph partitioning (components, packing)."""
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.problem import MulticastAssociationProblem, Session
 from repro.engine.partition import (
     Component,
-    UnionFind,
+    _merge_components,
     coverage_components,
     plan_shards,
 )
@@ -21,32 +25,6 @@ def _problem(rates):
     return MulticastAssociationProblem(
         rates, [0] * n_users, [Session(0, 1.0)], np.full(rates.shape[0], 0.9)
     )
-
-
-class TestUnionFind:
-    def test_singletons_are_distinct(self):
-        finder = UnionFind(4)
-        assert len({finder.find(i) for i in range(4)}) == 4
-
-    def test_union_merges_and_reports(self):
-        finder = UnionFind(4)
-        assert finder.union(0, 1) is True
-        assert finder.union(0, 1) is False
-        assert finder.find(0) == finder.find(1)
-        assert finder.find(2) != finder.find(0)
-
-    def test_transitive_merge(self):
-        finder = UnionFind(6)
-        finder.union(0, 1)
-        finder.union(1, 2)
-        finder.union(4, 5)
-        assert finder.find(0) == finder.find(2)
-        assert finder.find(4) == finder.find(5)
-        assert finder.find(3) not in {finder.find(0), finder.find(4)}
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            UnionFind(-1)
 
 
 class TestCoverageComponents:
@@ -147,3 +125,71 @@ class TestPlanShards:
         problem = block_problem(5, n_blocks=2)
         with pytest.raises(ValueError):
             plan_shards(problem, max_shard_users=0)
+
+
+def _reference_components(rates):
+    """BFS over the AP-user graph: (components, isolated users, idle APs)."""
+    n_aps, n_users = rates.shape
+    seen_aps: set[int] = set()
+    components = []
+    for start in range(n_aps):
+        if start in seen_aps or not (rates[start] > 0).any():
+            continue
+        aps, users, queue = {start}, set(), deque([start])
+        while queue:
+            ap = queue.popleft()
+            for user in range(n_users):
+                if rates[ap, user] > 0 and user not in users:
+                    users.add(user)
+                    for other in range(n_aps):
+                        if rates[other, user] > 0 and other not in aps:
+                            aps.add(other)
+                            queue.append(other)
+        seen_aps |= aps
+        components.append(Component(tuple(sorted(aps)), tuple(sorted(users))))
+    isolated = [u for u in range(n_users) if not (rates[:, u] > 0).any()]
+    idle = [a for a in range(n_aps) if not (rates[a] > 0).any()]
+    return components, isolated, idle
+
+
+@st.composite
+def rate_matrices(draw):
+    """Sparse, empty or full rate matrices, some rows and columns zeroed."""
+    n_aps = draw(st.integers(min_value=1, max_value=6))
+    n_users = draw(st.integers(min_value=1, max_value=12))
+    kind = draw(st.sampled_from(("full", "empty", "sparse")))
+    if kind == "full":
+        return np.full((n_aps, n_users), 12.0)
+    if kind == "empty":
+        return np.zeros((n_aps, n_users))
+    links = draw(
+        st.lists(
+            st.sampled_from((0.0, 0.0, 0.0, 6.0, 24.0)),
+            min_size=n_aps * n_users,
+            max_size=n_aps * n_users,
+        )
+    )
+    rates = np.array(links).reshape(n_aps, n_users)
+    rates[sorted(draw(st.sets(st.integers(0, n_aps - 1)))), :] = 0.0
+    rates[:, sorted(draw(st.sets(st.integers(0, n_users - 1))))] = 0.0
+    return rates
+
+
+class TestDifferentialAgainstBfs:
+    @settings(max_examples=300, deadline=None)
+    @given(rates=rate_matrices(), cap=st.integers(min_value=1, max_value=8))
+    def test_components_and_plans_match_reference(self, rates, cap):
+        problem = _problem(rates)
+        components, isolated, idle = _reference_components(rates)
+        assert coverage_components(problem) == (components, isolated, idle)
+        for plan, shards in (
+            (plan_shards(problem), components),
+            (
+                plan_shards(problem, max_shard_users=cap),
+                _merge_components(components, cap),
+            ),
+        ):
+            assert plan.shards == tuple(shards)
+            assert plan.isolated_users == tuple(isolated)
+            assert plan.idle_aps == tuple(idle)
+            assert plan.n_components == len(components)

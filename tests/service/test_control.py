@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.engine.engine as engine_module
 from repro import obs
 from repro.core.errors import ModelError
 from repro.core.problem import MulticastAssociationProblem, Session
@@ -235,6 +236,51 @@ class TestEngineSwapProblem:
                     cold.solve("mla").assignment.ap_of_user
                     == solution.assignment.ap_of_user
                 )
+
+    def test_plan_survives_ticks_and_rollback(self, scenario, monkeypatch):
+        calls = []
+        original = engine_module.plan_shards
+
+        def counting_plan_shards(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "plan_shards", counting_plan_shards)
+        control = ControlService(
+            scenario.problem(), algorithm="mla", max_shard_users=8
+        )
+        try:
+            assert len(calls) == 1
+            boot_plan = control.engine.plan
+            problem = control.problem
+            new_session = (problem.session_of(5) + 1) % problem.n_sessions
+            control.apply_events(
+                [
+                    Event("move", user=5, session=new_session),
+                    Event("rate-change", session=0, rate_mbps=2.0),
+                    Event("set-policy", session=1, policy="dms"),
+                    Event("leave", user=2),
+                ]
+            )
+
+            def boom(*args, **kwargs):
+                raise RuntimeError("solver died mid-tick")
+
+            monkeypatch.setattr(control.engine, "solve", boom)
+            with pytest.raises(RuntimeError):
+                control.apply_events(
+                    [Event("rate-change", session=1, rate_mbps=3.0)]
+                )
+            monkeypatch.undo()
+            assert control.problem.session_rate(1) != 3.0  # rolled back
+            assert len(calls) == 1
+            assert control.engine.plan is boot_plan
+            assert (
+                control.assignment.ap_of_user
+                == control.batch_solution().assignment.ap_of_user
+            )
+        finally:
+            control.close()
 
     def test_swap_rejects_changed_geometry(self):
         problem = MulticastAssociationProblem(
